@@ -41,10 +41,14 @@ chaos:
 # partition bursts, slow followers, wiped-member revival with snapshot
 # catch-up — with every recorded history checked for linearizability.
 # Each seed derives its own fault plan (see fault.ReplicaFromSeed);
-# override the matrix with `make replica-chaos REPLICA_SEEDS="5"`.
+# override the matrix with `make replica-chaos REPLICA_SEEDS="5"`. The
+# replica package (group commit under power loss at every storage step,
+# quorum, election, catch-up) and the head-of-line read test also run
+# repeatedly on 1, 2 and 4 cores.
 REPLICA_SEEDS ?= 5 9 13
 replica-chaos:
-	$(GO) test -race -count=1 ./internal/replica/
+	$(GO) test -race -cpu 1,2,4 -count 5 ./internal/replica/
+	$(GO) test -race -cpu 1,2,4 -count 5 -run 'TestReplicatedReadNotBehindPendingWrite|TestReplicatedKVBasic' ./internal/apps/
 	@set -e; for s in $(REPLICA_SEEDS); do \
 		echo "== replica chaos seed $$s =="; \
 		FFWD_CHAOS_SEED=$$s $(GO) test -race -count=1 -run 'Replica' ./internal/apps/; \
@@ -52,9 +56,10 @@ replica-chaos:
 
 # Process-kill chaos: spawn a durable pinned leader plus two follower
 # processes from the real ffwdserve binary, SIGKILL them mid-commit-burst
-# (randomized per seed, plus deterministic torn-WAL-write and
-# mid-snapshot-install crash points), restart from the surviving on-disk
-# state, and check every recorded client history for linearizability.
+# (randomized per seed, plus deterministic torn-WAL-write,
+# mid-snapshot-install and mid-group-commit crash points), restart from
+# the surviving on-disk state, and check every recorded client history
+# for linearizability.
 # Failed runs preserve their process logs and WAL/snapshot dirs under
 # FFWD_PROC_ARTIFACTS (or the system temp dir) for postmortem.
 proc-chaos:

@@ -8,6 +8,7 @@ import (
 
 	"ffwd/internal/core"
 	"ffwd/internal/fault"
+	"ffwd/internal/replica"
 )
 
 // rkvSeeds returns the seeds the replicated suites run under: the single
@@ -233,5 +234,76 @@ func TestReplicatedKVStateCodecRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(dst.EncodeState(), src.EncodeState()) {
 		t.Fatal("stores diverged after identical post-restore writes")
+	}
+}
+
+// slowAckRemote is a healthy cross-process follower 50 ms away: it acks
+// every Replicate after a fixed delay, off the caller's goroutine.
+type slowAckRemote struct {
+	id    int
+	delay time.Duration
+}
+
+func (r *slowAckRemote) ID() int       { return r.id }
+func (r *slowAckRemote) Healthy() bool { return true }
+func (r *slowAckRemote) Replicate(index, commit uint64, done chan<- replica.RemoteAck) {
+	if done == nil {
+		return
+	}
+	time.AfterFunc(r.delay, func() { done <- replica.RemoteAck{ID: r.id, Index: index, OK: true} })
+}
+
+// TestReplicatedReadNotBehindPendingWrite pins the head-of-line fix: a
+// write waiting 50 ms for its quorum acks holds neither the delegation
+// server nor the group lock, so another client's read returns at once.
+// When the delegated write itself waited for quorum, the read queued
+// behind it for the full delay.
+func TestReplicatedReadNotBehindPendingWrite(t *testing.T) {
+	const delay = 50 * time.Millisecond
+	g, err := replica.NewGroup(replica.GroupConfig{
+		Replicas: 1,
+		Remotes: []replica.Remote{
+			&slowAckRemote{id: 101, delay: delay},
+			&slowAckRemote{id: 102, delay: delay},
+		},
+		NewMachine: func() replica.StateMachine { return NewKVMachine(64) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &ReplicatedKV{g: g, cfg: ReplicatedConfig{Replicas: 1, Core: core.Config{MaxClients: 2}}, closeCh: make(chan struct{})}
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	writer, reader := r.NewClient(), r.NewClient()
+	defer writer.Close()
+	defer reader.Close()
+	if err := writer.Set(2, 20); err != nil {
+		t.Fatal(err)
+	}
+
+	setDone := make(chan error, 1)
+	go func() { setDone <- writer.Set(1, 10) }()
+	rkvWaitFor(t, "the write to be appended", func() bool { return g.Stats().Proposals >= 2 })
+	start := time.Now()
+	v, ok, err := reader.Get(2)
+	took := time.Since(start)
+	if err != nil || !ok || v != 20 {
+		t.Fatalf("Get(2) = %d,%v,%v; want 20,true,nil", v, ok, err)
+	}
+	if took > delay/2 {
+		t.Fatalf("read took %v while a write waited on its %v quorum: it queued behind the write", took, delay)
+	}
+	select {
+	case err := <-setDone:
+		t.Fatalf("the write settled (err %v) before the read returned; the test proves nothing", err)
+	default:
+	}
+	if err := <-setDone; err != nil {
+		t.Fatalf("Set(1): %v", err)
+	}
+	if v, ok, err := reader.Get(1); err != nil || !ok || v != 10 {
+		t.Fatalf("Get(1) after its commit = %d,%v,%v; want 10,true,nil", v, ok, err)
 	}
 }

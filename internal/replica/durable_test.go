@@ -232,10 +232,12 @@ func TestPinnedLeaderGroupRecovery(t *testing.T) {
 	if err != nil || ret != 1 {
 		t.Fatalf("delete = %d, %v", ret, err)
 	}
+	g.Close()
 	st.Close()
 
 	g2, st2 := open(2)
 	defer st2.Close()
+	defer g2.Close()
 	lead2, _ := g2.Leader()
 	stats := g2.Stats()
 	if stats.CommitIndex != 6 || stats.LastApplied != 6 {

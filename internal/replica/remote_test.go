@@ -55,11 +55,13 @@ func newRemoteGroup(t *testing.T, timeout time.Duration) (*Group, *fakeRemote, *
 	if err != nil {
 		t.Fatalf("NewGroup: %v", err)
 	}
+	t.Cleanup(g.Close)
 	return g, r1, r2
 }
 
 // One local leader plus two remotes: quorum is 2, so one remote ack
-// commits, and both remotes get the post-commit push.
+// commits. There is no per-write commit push: the remotes learn the
+// commit index from the next batch's Replicate (or a heartbeat).
 func TestRemoteQuorumCommit(t *testing.T) {
 	g, r1, r2 := newRemoteGroup(t, time.Second)
 	if q := g.Quorum(); q != 2 {
@@ -83,12 +85,15 @@ func TestRemoteQuorumCommit(t *testing.T) {
 	if r2.acked.Load() != 1 {
 		t.Fatalf("remote never saw the entry")
 	}
-	// Both remotes got the fire-and-forget commit push with commit=1.
-	if r1.pushes.Load() != 1 || r2.pushes.Load() != 1 {
-		t.Fatalf("pushes: %d/%d, want 1/1", r1.pushes.Load(), r2.pushes.Load())
+	if r1.pushes.Load() != 0 || r2.pushes.Load() != 0 {
+		t.Fatalf("pushes: %d/%d, want no fire-and-forget commit push", r1.pushes.Load(), r2.pushes.Load())
 	}
-	if r1.commits.Load() != 1 {
-		t.Fatalf("push carried commit %d, want 1", r1.commits.Load())
+	// The next batch carries commit=1 to both remotes.
+	if _, err := g.Propose(lead, 1, 2, OpSet, 11, 110); err != nil {
+		t.Fatalf("second Propose: %v", err)
+	}
+	if r1.commits.Load() != 1 || r2.commits.Load() != 1 {
+		t.Fatalf("next batch carried commit %d/%d, want 1/1", r1.commits.Load(), r2.commits.Load())
 	}
 }
 

@@ -76,6 +76,7 @@ func newTestGroup(t *testing.T, replicas int, snapEvery uint64, hooks Hooks) (*G
 	if err != nil {
 		t.Fatalf("NewGroup: %v", err)
 	}
+	t.Cleanup(g.Close)
 	return g, machines
 }
 

@@ -11,12 +11,12 @@ import (
 
 // CrashPoint arms deterministic self-SIGKILL points inside the storage
 // layer, so the process-kill chaos harness can land a `kill -9`
-// *exactly* mid-WAL-write or mid-snapshot-install instead of hoping a
-// timer does. The kill is a real SIGKILL delivered to the whole
+// *exactly* mid-WAL-write, mid-snapshot-install or mid-group-commit
+// instead of hoping a timer does. The kill is a real SIGKILL delivered to the whole
 // process: no deferred cleanup runs, exactly like the failure being
 // modeled.
 //
-// Records and snapshots are counted per process lifetime, so a
+// Records, snapshots and syncs are counted per process lifetime, so a
 // restarted process re-arms from zero only if its environment says to.
 type CrashPoint struct {
 	// AtRecord, when nonzero, kills the process while appending the
@@ -30,9 +30,17 @@ type CrashPoint struct {
 	// but never renamed into place, the half-installed state recovery
 	// must ignore.
 	AtSnapshot uint64
+	// AtBatch, when nonzero, kills the process right after the
+	// AtBatch'th Store.Sync (1-based) returns. A pinned leader's
+	// committer syncs exactly once per group commit, before it ships
+	// the batch to any follower, so on a leader this lands after batch
+	// AtBatch is durable in its own WAL and before a single quorum ack
+	// for it can arrive. (A follower syncs once per append frame.)
+	AtBatch uint64
 
 	records   atomic.Uint64
 	snapshots atomic.Uint64
+	batches   atomic.Uint64
 }
 
 // CrashEnv is the environment variable the chaos harness sets to arm
@@ -40,6 +48,7 @@ type CrashPoint struct {
 //
 //	wal-record:<n>[:<tornBytes>]  — torn write of record n, then SIGKILL
 //	snap-temp:<n>                 — snapshot n left as temp, then SIGKILL
+//	commit-batch:<n>              — SIGKILL after the n'th WAL sync
 const CrashEnv = "FFWD_CRASH_POINT"
 
 // CrashFromEnv parses CrashEnv; nil means no crash point armed. A
@@ -51,7 +60,7 @@ func CrashFromEnv() (*CrashPoint, error) {
 	}
 	parts := strings.Split(v, ":")
 	bad := func() (*CrashPoint, error) {
-		return nil, fmt.Errorf("replog: bad %s %q (want wal-record:<n>[:<bytes>] or snap-temp:<n>)", CrashEnv, v)
+		return nil, fmt.Errorf("replog: bad %s %q (want wal-record:<n>[:<bytes>], snap-temp:<n> or commit-batch:<n>)", CrashEnv, v)
 	}
 	if len(parts) < 2 {
 		return bad()
@@ -78,6 +87,11 @@ func CrashFromEnv() (*CrashPoint, error) {
 			return bad()
 		}
 		return &CrashPoint{AtSnapshot: n}, nil
+	case "commit-batch":
+		if len(parts) != 2 {
+			return bad()
+		}
+		return &CrashPoint{AtBatch: n}, nil
 	}
 	return bad()
 }
@@ -107,4 +121,14 @@ func (c *CrashPoint) onSnapshot() bool {
 		return false
 	}
 	return c.snapshots.Add(1) == c.AtSnapshot
+}
+
+// onSync is the group-commit fault point, consulted after each
+// Store.Sync: true means die now, with the batch synced but not yet
+// replicated.
+func (c *CrashPoint) onSync() bool {
+	if c == nil || c.AtBatch == 0 {
+		return false
+	}
+	return c.batches.Add(1) == c.AtBatch
 }

@@ -16,9 +16,10 @@
 //
 //   - Appends become durable per the configured SyncPolicy: SyncAlways
 //     fsyncs every append batch, SyncBatch fsyncs on the explicit Sync
-//     call a caller makes before acknowledging (one fsync per append
-//     frame or propose), SyncNone leaves it to the OS (fast, and honest
-//     about what it no longer guarantees).
+//     call a caller makes before acknowledging (one fsync per group
+//     commit on a leader, per append frame on a follower), SyncNone
+//     leaves it to the OS (fast, and honest about what it no longer
+//     guarantees).
 //   - Snapshots and meta are written to a temp file, fsynced, renamed
 //     into place, and the directory fsynced — a crash leaves either the
 //     old file or the new one, never a torn hybrid.
@@ -51,8 +52,8 @@ const (
 	// one fsync per record in the worst case.
 	SyncAlways SyncPolicy = iota
 	// SyncBatch fsyncs only on explicit Sync calls: the caller syncs
-	// once per append frame / propose, just before acknowledging, so a
-	// multi-entry batch costs one fsync.
+	// once per group commit (leader) or append frame (follower), just
+	// before acknowledging, so a multi-entry batch costs one fsync.
 	SyncBatch
 	// SyncNone never fsyncs; a machine crash may lose acknowledged
 	// writes (a process crash alone does not — the page cache survives).

@@ -132,8 +132,18 @@ func (s *Store) SaveTerm(term uint64) error {
 	return saveMeta(s.dir, s.meta)
 }
 
-// Sync makes outstanding appends durable per the policy.
-func (s *Store) Sync() error { return s.wal.Sync() }
+// Sync makes outstanding appends durable per the policy. A leader's
+// committer calls it once per group commit, a follower once per append
+// frame; both before acknowledging anything the appends carry.
+func (s *Store) Sync() error {
+	if err := s.wal.Sync(); err != nil {
+		return err
+	}
+	if s.opt.Crash.onSync() {
+		s.opt.Crash.kill()
+	}
+	return nil
+}
 
 // Close seals the store.
 func (s *Store) Close() error { return s.wal.Close() }

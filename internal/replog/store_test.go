@@ -249,11 +249,24 @@ func TestCrashPointParsing(t *testing.T) {
 	if err != nil || cp == nil || cp.AtSnapshot != 1 {
 		t.Fatalf("parsed %+v, %v", cp, err)
 	}
+	t.Setenv(CrashEnv, "commit-batch:4")
+	cp, err = CrashFromEnv()
+	if err != nil || cp == nil || cp.AtBatch != 4 {
+		t.Fatalf("parsed %+v, %v", cp, err)
+	}
+	for i := 1; i <= 3; i++ {
+		if cp.onSync() {
+			t.Fatalf("commit-batch:4 fired at sync %d", i)
+		}
+	}
+	if !cp.onSync() {
+		t.Fatal("commit-batch:4 did not fire at sync 4")
+	}
 	t.Setenv(CrashEnv, "")
 	if cp, err = CrashFromEnv(); err != nil || cp != nil {
 		t.Fatalf("empty env parsed as %+v, %v", cp, err)
 	}
-	for _, bad := range []string{"wal-record", "wal-record:0", "wal-record:x", "wal-record:1:-2", "snap-temp:1:2", "boom:1"} {
+	for _, bad := range []string{"wal-record", "wal-record:0", "wal-record:x", "wal-record:1:-2", "snap-temp:1:2", "commit-batch:0", "commit-batch:1:2", "boom:1"} {
 		t.Setenv(CrashEnv, bad)
 		if _, err := CrashFromEnv(); err == nil {
 			t.Fatalf("malformed %q accepted", bad)
@@ -266,5 +279,8 @@ func TestCrashPointParsing(t *testing.T) {
 	}
 	if nilCP.onSnapshot() {
 		t.Fatalf("nil onSnapshot fired")
+	}
+	if nilCP.onSync() {
+		t.Fatalf("nil onSync fired")
 	}
 }

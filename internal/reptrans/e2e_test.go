@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -104,6 +105,7 @@ func TestPeerServerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewGroup: %v", err)
 	}
+	defer g.Close()
 	lateLeader.Set(g)
 
 	waitFor(t, "peers connected", func() bool { return p1.Healthy() && p2.Healthy() })
@@ -200,6 +202,7 @@ func TestFollowerLogReplayCatchUp(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewGroup: %v", err)
 	}
+	defer g.Close()
 	lateLeader.Set(g)
 	waitFor(t, "peer connected", func() bool { return p.Healthy() })
 	lead, _ := g.Leader()
@@ -227,4 +230,75 @@ func checkState(sm *tmach, n uint64) error {
 		}
 	}
 	return nil
+}
+
+// A follower on the library's default cadence snapshots and compacts
+// on its own: after many times more writes than its state holds, its
+// in-memory log and its WAL segment count stay bounded instead of
+// growing with every write for the life of the process.
+func TestFollowerSnapshotsBoundLogAndWAL(t *testing.T) {
+	const keys, writers, writesEach = 16, 4, 500
+	base := t.TempDir()
+	st, rec, err := replog.Open(filepath.Join(base, "f"), replog.Options{Sync: replog.SyncNone, SegmentBytes: 1024})
+	if err != nil {
+		t.Fatalf("replog.Open: %v", err)
+	}
+	defer st.Close()
+	m := replica.NewMember(newTmach(), replica.DefaultSnapshotEvery, st)
+	if err := m.Recover(rec.Snap, rec.Entries); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(ln, ServerConfig{Member: m, Store: st, Logf: t.Logf})
+	defer srv.Close()
+
+	ref := &LeaderRef{InitialTerm: 1}
+	p := NewPeer(PeerConfig{ID: 101, Addr: srv.Addr().String(), Leader: ref, Seed: 3, Logf: t.Logf})
+	defer p.Close()
+	g, err := replica.NewGroup(replica.GroupConfig{
+		Replicas:   1,
+		NewMachine: func() replica.StateMachine { return newTmach() },
+		Remotes:    []replica.Remote{p},
+	})
+	if err != nil {
+		t.Fatalf("NewGroup: %v", err)
+	}
+	defer g.Close()
+	ref.Set(g)
+	waitFor(t, "peer connected", func() bool { return p.Healthy() })
+	lead, _ := g.Leader()
+	var wg sync.WaitGroup
+	for w := uint64(1); w <= writers; w++ {
+		wg.Add(1)
+		go func(w uint64) {
+			defer wg.Done()
+			for i := uint64(1); i <= writesEach; i++ {
+				if _, err := g.Propose(lead, w, i, replica.OpSet, (w*writesEach+i)%keys, i); err != nil {
+					t.Errorf("writer %d propose %d: %v", w, i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	srv.Close() // no more frames: the member is ours to inspect
+
+	if last := m.LastIndex(); last < writers*writesEach {
+		t.Fatalf("follower log ends at %d, want >= %d", last, writers*writesEach)
+	}
+	if n := m.LogLen(); n > 2*replica.DefaultSnapshotEvery {
+		t.Fatalf("follower holds %d live log entries after %d writes to %d keys; it never snapshots", n, writers*writesEach, keys)
+	}
+	fst := st.Stats()
+	t.Logf("follower: %d live entries, %d snapshots, %d compactions, %d segments (%d rotations)",
+		m.LogLen(), fst.Snapshots, fst.Compactions, fst.Segments, fst.Rotations)
+	if fst.Snapshots == 0 || fst.Compactions == 0 {
+		t.Fatalf("follower store took %d snapshots and %d compactions", fst.Snapshots, fst.Compactions)
+	}
+	if fst.Segments > 12 {
+		t.Fatalf("follower WAL holds %d segments after %d rotations; compaction is not keeping up", fst.Segments, fst.Rotations)
+	}
 }
